@@ -75,29 +75,3 @@ def test_e22_scale_faulted(benchmark):
 
     _append_trajectory("e22_scale_faulted", result)
 
-
-def test_e22_scale_sharded(benchmark):
-    """The sharded-engine scale leg (docs/PERF.md): cold convergence at
-    n=2^18 on contiguous id-range shards, recording wall clock and peak
-    RSS.  On multi-core hosts raise ``workers``; ``workers=0`` keeps every
-    shard in this process, which is the honest configuration for the
-    single-CPU CI box (see benchmarks/shard_waiver.json)."""
-    result = run_and_report(
-        benchmark,
-        "e22",
-        tag="sharded",
-        sizes=(262144,),
-        queries=2000,
-        reference_max_n=0,
-        engine="sharded",
-        shards=4,
-        workers=0,
-    )
-    row = result.rows[0]
-    # Polylog rounds must survive the 2^18 jump (same gate shape as the
-    # 49k row of the plain leg).
-    assert row["rounds"] < 0.02 * 262144
-    assert row["route_hops"] < row["ring_hops"]
-    assert row["peak_rss_mb"] != ""
-
-    _append_trajectory("e22_scale_sharded", result)

@@ -11,7 +11,7 @@ when it improves enough that the baseline should be re-recorded.
 A second, independent gate pins the observability layer's cost contract
 (docs/OBSERVABILITY.md): with no observer active the instrumentation
 hooks must stay within ``OBS_SLACK`` (5%) of a hook-free round loop, on
-all three engines (reference, batched, inline-sharded).  The disabled
+both engines (reference, batched).  The disabled
 hot path is one ``is None`` check per round, so this gate catches anyone
 accidentally moving real work outside that check.
 
@@ -55,14 +55,10 @@ OBS_SLACK = 1.05
 OBS_REPEATS = 5
 OBS_FAST_N, OBS_FAST_ROUNDS = 512, 300
 OBS_REF_N, OBS_REF_ROUNDS = 192, 80
-#: The sharded leg runs inline (workers=0): the contract being pinned is
-#: the coordinator's obs-disabled hot path (profiler/shard-sink checks),
-#: and inline shards measure it without spawn-time noise.
-OBS_SHARD_N, OBS_SHARD_ROUNDS, OBS_SHARD_SHARDS = 512, 240, 4
 
-#: Round-phase attribution gate (benchmarks/shard_phases.py): the
-#: coordinator phase markers must keep explaining >= 95% of the sharded
-#: wall clock.  CI-sized here; the recorded run uses --n 32768.
+#: Round-phase attribution gate (benchmarks/phases.py): the batched
+#: engine's phase markers must keep explaining >= 95% of its round wall
+#: clock.  CI-sized here; the recorded runs also use --n 32768.
 PHASES_N = 2048
 PHASES_ROUNDS = 40
 
@@ -95,23 +91,6 @@ CHURN_ROUNDS = 30
 CHURN_SEED = 424
 CHURN_MIN_SPEEDUP = 5.0
 CHURN_BENCH = pathlib.Path(__file__).parent.parent / "BENCH_churn_scale.json"
-
-#: Sharded-engine gate (docs/PERF.md "Sharding"): a fixed-round workload
-#: at n=8192 on the sharded engine must beat the single-process batched
-#: engine by ``SHARD_MIN_SPEEDUP`` wall-clock — OR the repo must carry an
-#: explicitly recorded waiver (``benchmarks/shard_waiver.json``) with the
-#: measured ratio and the crossover condition.  The waiver path exists
-#: because the gate is honest about hardware: on a single-CPU box the
-#: shard coordinator is pure overhead and spawned workers time-slice one
-#: core, so the speedup floor is unreachable *by construction*, not by
-#: regression.  ``--record`` refreshes the waiver's measured block.
-SHARD_N = 8192
-SHARD_ROUNDS = 60
-SHARD_SHARDS = 4
-SHARD_SEED = 1818
-SHARD_MIN_SPEEDUP = 1.5
-SHARD_WAIVER = pathlib.Path(__file__).parent / "shard_waiver.json"
-
 
 def _workload_states():
     from repro.topology.generators import TOPOLOGIES
@@ -168,8 +147,7 @@ def _gc_quiesced():
     The obs legs compare a sub-microsecond per-round delta against
     millisecond rounds; one generational collection landing inside one
     variant but not its interleaved twin swamps that delta and flakes
-    the 5% gate (seen on the single-CPU CI box in the allocation-heavy
-    sharded leg).  Collect up front, time without the collector, restore.
+    the 5% gate on a single-CPU box.  Collect up front, time without the collector, restore.
     """
     gc.collect()
     was_enabled = gc.isenabled()
@@ -224,36 +202,6 @@ def _obs_reference(bare: bool) -> float:
         return time.perf_counter() - start
 
 
-def _obs_sharded(bare: bool) -> float:
-    """Fixed-round inline-sharded run; ``bare`` bypasses the hook."""
-    from repro.core.protocol import ProtocolConfig
-    from repro.sim.fast import FastSimulator
-    from repro.topology.generators import TOPOLOGIES
-
-    states = TOPOLOGIES["line"](OBS_SHARD_N, np.random.default_rng(SEED))
-    sim = FastSimulator.from_states(
-        states,
-        ProtocolConfig(),
-        mode="sharded",
-        shards=OBS_SHARD_SHARDS,
-        workers=0,
-        rng=np.random.default_rng(SEED),
-    )
-    engine, rng = sim.engine, sim.rng
-    try:
-        with _gc_quiesced():
-            start = time.perf_counter()
-            if bare:
-                for _ in range(OBS_SHARD_ROUNDS):
-                    engine.execute_round(rng)
-                    engine.stats.end_round()
-            else:
-                sim.run(OBS_SHARD_ROUNDS)
-            return time.perf_counter() - start
-    finally:
-        engine.close()
-
-
 def measure_obs_overhead() -> dict[str, float]:
     """Hooked-but-unobserved vs hook-free round loops, both engines.
 
@@ -276,7 +224,6 @@ def measure_obs_overhead() -> dict[str, float]:
     legs = {
         "fast": _obs_fast,
         "ref": _obs_reference,
-        "sharded": _obs_sharded,
     }
     bare: dict[str, list[float]] = {leg: [] for leg in legs}
     hooked: dict[str, list[float]] = {leg: [] for leg in legs}
@@ -492,85 +439,6 @@ def record_churn_gate(result: dict[str, float]) -> None:
     CHURN_BENCH.write_text(json.dumps(entries, indent=2) + "\n")
 
 
-def _shard_workers() -> int:
-    """Spawned workers only help with real cores to put them on."""
-    import os
-
-    return SHARD_SHARDS if (os.cpu_count() or 1) >= 2 else 0
-
-
-def _time_sharded_leg(states, mode: str, workers: int) -> float:
-    from repro.core.protocol import ProtocolConfig
-    from repro.sim.fast import FastSimulator
-
-    kwargs = {}
-    if mode == "sharded":
-        kwargs = {"shards": SHARD_SHARDS, "workers": workers}
-    sim = FastSimulator.from_states(
-        [s.copy() for s in states],
-        ProtocolConfig(),
-        mode=mode,
-        rng=np.random.default_rng(SHARD_SEED + 1),
-        **kwargs,
-    )
-    try:
-        start = time.perf_counter()
-        sim.run(SHARD_ROUNDS)
-        return time.perf_counter() - start
-    finally:
-        if mode == "sharded":
-            sim.engine.close()
-
-
-def measure_shard() -> dict[str, float]:
-    """Fixed-round sharded vs single-process batched engine, same seed.
-
-    Worker processes are spawned before the timer starts, so the measured
-    window is steady-state rounds — construction cost is a one-time price
-    the E22-scale runs amortize anyway.
-    """
-    import os
-
-    from repro.topology.generators import TOPOLOGIES
-
-    states = TOPOLOGIES["line"](SHARD_N, np.random.default_rng(SHARD_SEED))
-    workers = _shard_workers()
-    fast = min(_time_sharded_leg(states, "batched", 0) for _ in range(REPEATS))
-    sharded = min(
-        _time_sharded_leg(states, "sharded", workers) for _ in range(REPEATS)
-    )
-    return {
-        "fast_seconds": round(fast, 4),
-        "sharded_seconds": round(sharded, 4),
-        "shard_speedup": round(fast / sharded, 2),
-        "shards": SHARD_SHARDS,
-        "workers": workers,
-        "cpus": float(os.cpu_count() or 1),
-    }
-
-
-def record_shard_waiver(result: dict[str, float]) -> None:
-    """Refresh the waiver's measured block, preserving its crossover text."""
-    waiver: dict[str, object] = {
-        "gate": f"sharded/fast speedup >= {SHARD_MIN_SPEEDUP} at n={SHARD_N}",
-        "crossover": (
-            "the sharded engine crosses the floor only with >= 2 physical "
-            "cores and workers=shards; on one core the coordinator and the "
-            "boundary exchange are pure overhead — re-measure and delete "
-            "this waiver when the CI box gains cores"
-        ),
-    }
-    if SHARD_WAIVER.exists():
-        waiver.update(json.loads(SHARD_WAIVER.read_text()))
-    waiver["measured"] = {
-        "n": SHARD_N,
-        "rounds": SHARD_ROUNDS,
-        "seed": SHARD_SEED,
-        **result,
-    }
-    SHARD_WAIVER.write_text(json.dumps(waiver, indent=2) + "\n")
-
-
 def record_obs_bench(result: dict[str, float]) -> None:
     """Machine-stamp the measured overhead into ``BENCH_obs_overhead.json``."""
     import platform
@@ -583,13 +451,6 @@ def record_obs_bench(result: dict[str, float]) -> None:
         "workloads": {
             "fast": {"n": OBS_FAST_N, "rounds": OBS_FAST_ROUNDS, "seed": SEED},
             "reference": {"n": OBS_REF_N, "rounds": OBS_REF_ROUNDS, "seed": SEED},
-            "sharded": {
-                "n": OBS_SHARD_N,
-                "rounds": OBS_SHARD_ROUNDS,
-                "shards": OBS_SHARD_SHARDS,
-                "workers": 0,
-                "seed": SEED,
-            },
         },
         **result,
     }
@@ -620,69 +481,34 @@ def main(argv: list[str] | None = None) -> int:
         help="skip the churn-storm speedup gate (reference leg is slow)",
     )
     parser.add_argument(
-        "--skip-shard",
-        action="store_true",
-        help="skip the sharded-engine speedup gate",
-    )
-    parser.add_argument(
         "--skip-phases",
         action="store_true",
-        help="skip the sharded round-phase attribution gate",
+        help="skip the round-phase attribution gate",
     )
     args = parser.parse_args(argv)
 
     phases_failed = False
     if not args.skip_phases:
-        import shard_phases
+        import phases
 
-        row = shard_phases.measure_phases(n=PHASES_N, rounds=PHASES_ROUNDS)
+        row = phases.measure_phases(n=PHASES_N, rounds=PHASES_ROUNDS)
         print(
             f"perf-smoke[phases]: n={PHASES_N} rounds={PHASES_ROUNDS} "
             f"wall={row['wall_s']}s attributed={row['attributed_s']}s "
             f"attribution={row['attribution']} "
-            f"(floor {shard_phases.MIN_ATTRIBUTION})"
+            f"(floor {phases.MIN_ATTRIBUTION})"
         )
-        phases_failed = row["attribution"] < shard_phases.MIN_ATTRIBUTION
+        phases_failed = row["attribution"] < phases.MIN_ATTRIBUTION
         if phases_failed:
             print(
-                "perf-smoke[phases]: the coordinator phase markers no "
-                "longer explain the sharded wall clock; something is "
+                "perf-smoke[phases]: the batched engine's phase markers no "
+                "longer explain its round wall clock; something is "
                 "spending time between the marks "
-                "(src/repro/sim/fast/shard/engine.py)"
+                "(src/repro/sim/fast/batched.py)"
             )
         if args.record:
-            shard_phases.record(row)
-            print(f"perf-smoke[phases]: recorded to {shard_phases.BENCH}")
-
-    shard_failed = False
-    if not args.skip_shard:
-        shard = measure_shard()
-        print(
-            f"perf-smoke[shard]: n={SHARD_N} shards={SHARD_SHARDS} "
-            f"workers={int(shard['workers'])} cpus={int(shard['cpus'])} "
-            f"fast={shard['fast_seconds']}s "
-            f"sharded={shard['sharded_seconds']}s "
-            f"speedup={shard['shard_speedup']}x (floor {SHARD_MIN_SPEEDUP}x)"
-        )
-        if shard["shard_speedup"] < SHARD_MIN_SPEEDUP:
-            if SHARD_WAIVER.exists():
-                waiver = json.loads(SHARD_WAIVER.read_text())
-                print(
-                    "perf-smoke[shard]: below floor but waived "
-                    f"({SHARD_WAIVER.name}): {waiver.get('crossover')}"
-                )
-            else:
-                shard_failed = True
-                print(
-                    "perf-smoke[shard]: the sharded engine no longer beats "
-                    f"the single-process batched engine {SHARD_MIN_SPEEDUP}x "
-                    "and no waiver is recorded; either fix the regression or "
-                    "record the measured crossover with --record "
-                    "(docs/PERF.md 'Sharding')"
-                )
-        if args.record:
-            record_shard_waiver(shard)
-            print(f"perf-smoke[shard]: measured block recorded to {SHARD_WAIVER}")
+            phases.record(row)
+            print(f"perf-smoke[phases]: recorded to {phases.BENCH}")
 
     churn_failed = False
     if not args.skip_churn:
@@ -735,15 +561,9 @@ def main(argv: list[str] | None = None) -> int:
             f"perf-smoke[obs]: fast hooked={obs['fast_hooked_seconds']}s "
             f"bare={obs['fast_bare_seconds']}s ratio={obs['fast_ratio']}  "
             f"reference hooked={obs['ref_hooked_seconds']}s "
-            f"bare={obs['ref_bare_seconds']}s ratio={obs['ref_ratio']}  "
-            f"sharded hooked={obs['sharded_hooked_seconds']}s "
-            f"bare={obs['sharded_bare_seconds']}s "
-            f"ratio={obs['sharded_ratio']}"
+            f"bare={obs['ref_bare_seconds']}s ratio={obs['ref_ratio']}"
         )
-        obs_failed = (
-            max(obs["fast_ratio"], obs["ref_ratio"], obs["sharded_ratio"])
-            > OBS_SLACK
-        )
+        obs_failed = max(obs["fast_ratio"], obs["ref_ratio"]) > OBS_SLACK
         if obs_failed:
             print(
                 "perf-smoke[obs]: disabled observability costs more than "
@@ -773,7 +593,6 @@ def main(argv: list[str] | None = None) -> int:
                 obs_failed
                 or chaos_failed
                 or churn_failed
-                or shard_failed
                 or phases_failed
             )
             else 0
@@ -807,7 +626,6 @@ def main(argv: list[str] | None = None) -> int:
             obs_failed
             or chaos_failed
             or churn_failed
-            or shard_failed
             or phases_failed
         )
         else 0

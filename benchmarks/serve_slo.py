@@ -43,9 +43,6 @@ def run_bench(
     *,
     n: int,
     lookups: int,
-    engine: str,
-    shards: int,
-    workers: int,
     storm: str,
     zipf_s: float,
     batch: int,
@@ -56,9 +53,6 @@ def run_bench(
     service = build_service(
         n=n,
         topology="stable",
-        engine=engine,
-        shards=shards,
-        workers=workers,
         seed=seed,
         check_every=4,
     )
@@ -90,7 +84,7 @@ def run_bench(
         service.stop()
     summary = build_slo_summary(
         n=n,
-        engine=engine,
+        engine="fast",
         zipf_s=zipf_s,
         storm=storm,
         phases=[converged.row(), stormy.row()],
@@ -98,7 +92,7 @@ def run_bench(
     bound = summary["phases"][0]["hop_bound"]  # type: ignore[index]
     row: dict[str, object] = {
         "n": n,
-        "engine": engine,
+        "engine": "fast",
         "storm": storm,
         "zipf_s": zipf_s,
         "lookups": converged.lookups + stormy.lookups,
@@ -123,9 +117,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=2048)
     parser.add_argument("--lookups", type=int, default=20_000)
-    parser.add_argument("--engine", choices=("fast", "sharded"), default="fast")
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--workers", type=int, default=0)
     parser.add_argument("--storm", default="flash_crowd")
     parser.add_argument("--zipf", type=float, default=1.1)
     parser.add_argument("--batch", type=int, default=8192)
@@ -144,9 +135,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     summary, row = run_bench(
         n=args.n,
         lookups=args.lookups,
-        engine=args.engine,
-        shards=args.shards,
-        workers=args.workers,
         storm=args.storm,
         zipf_s=args.zipf,
         batch=args.batch,
@@ -163,7 +151,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         / converged_row["lookups"]
     )
     print(
-        f"serve_slo: n={args.n} engine={args.engine} storm={args.storm} "
+        f"serve_slo: n={args.n} engine=fast storm={args.storm} "
         f"p99_hops={row['p99_hops']} (bound {row['hop_bound']}) "
         f"p99_latency_us={row['p99_latency_us']} "
         f"throughput={row['throughput_lps']}/s "
@@ -183,7 +171,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "params": {
                     "n": args.n,
                     "lookups": args.lookups,
-                    "engine": args.engine,
+                    "engine": "fast",
                     "storm": args.storm,
                     "zipf_s": args.zipf,
                     "seed": args.seed,

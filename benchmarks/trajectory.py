@@ -51,10 +51,9 @@ GATED: dict[str, tuple[str, float]] = {
     "chaos_speedup": ("higher", 0.50),
     "fast_ratio": ("lower", 0.25),
     "ref_ratio": ("lower", 0.25),
-    "sharded_ratio": ("lower", 0.25),
     "overhead_ratio": ("lower", 0.35),
-    # Round-phase attribution (BENCH_shard_phases.json): the profiler
-    # must keep explaining the sharded wall clock, not drift blind.
+    # Round-phase attribution (BENCH_phases.json): the profiler must keep
+    # explaining the batched engine's round wall clock, not drift blind.
     "attribution": ("higher", 0.05),
     # Serving SLO (BENCH_serve.json): converged-phase greedy-routing hop
     # percentiles are machine-independent (the overlay is seeded) — a
@@ -78,22 +77,19 @@ RECORDED = (
     "fast_hooked_seconds",
     "ref_bare_seconds",
     "ref_hooked_seconds",
-    "sharded_bare_seconds",
-    "sharded_hooked_seconds",
     "extra_messages",
     "overhead_frames",
     "abandoned",
-    # Round-phase decomposition of the sharded wall clock
-    # (benchmarks/shard_phases.py; ``repro obs phases`` reads the same
-    # registry metrics out of a live run's manifest).
+    # Round-phase decomposition of the batched engine's wall clock
+    # (benchmarks/phases.py; ``repro obs phases`` reads the same profiler
+    # snapshot out of a recorded run's manifest).
     "wall_s",
     "attributed_s",
-    "dispatch_s",
     "kernel_s",
-    "exchange_s",
     "flush_s",
-    "merge_s",
-    "rng_s",
+    "waves_s",
+    "regular_s",
+    "close_s",
     # Serving SLO (benchmarks/serve_slo.py): latency and throughput move
     # with the host; storm-phase loss depends on recovery timing under
     # load.  All folded for ``repro obs diff``, none gated.

@@ -112,8 +112,8 @@ class WriteWriteRule(FlowRule):
     )
     grounding = (
         "kernels.py invariant: within one handler call no fancy-indexed "
-        "store may hit the same slot twice — mandatory before the SoA "
-        "columns are sharded across processes (ROADMAP)"
+        "store may hit the same slot twice, or the masked stores of one "
+        "wave stop being order-independent"
     )
 
     def check(self, unit: FlowUnit) -> Iterator[Finding]:

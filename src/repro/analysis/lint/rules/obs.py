@@ -3,11 +3,11 @@
 One advisory rule (ISSUE 9): ``obs-blocking-in-wave`` flags blocking I/O
 inside the kernel / wave-dispatch modules of ``repro.sim.fast``.  The
 telemetry plane is built so the wave loop never blocks on observation —
-shard workers piggyback their counters on the boundary-exchange report,
-and the live scrape endpoint reads registry snapshots from its own
-threads.  A stray ``print``/``open``/``sleep`` (or a raw pipe/socket
-round-trip) inside a kernel stalls every shard for the slowest writer
-and silently breaks the ≤5 % obs-disabled overhead contract.
+the engine only adds timings to an in-memory profiler, and the live
+scrape endpoint reads registry snapshots from its own threads.  A stray
+``print``/``open``/``sleep`` (or a raw pipe/socket round-trip) inside a
+kernel stalls the whole round on the slowest writer and silently breaks
+the ≤5 % obs-disabled overhead contract.
 
 The rule deliberately does **not** flag bare ``.send``/``.write``/
 ``.flush``/``.read`` attribute calls: under ``sim/fast`` those names are
@@ -16,9 +16,7 @@ the in-memory message-bus and access-recorder idiom (``out.send(LIN,
 channels (``open``/``print``/``input``/``breakpoint`` builtins) and the
 transport primitives that only ever name real blocking calls
 (``.sleep``, ``.recv``/``.recv_bytes``, ``.sendall``/``.send_bytes``,
-``.accept``, ``.connect``, ``.select``).  ``shard/workers.py`` is exempt
-wholesale: pipe ``send``/``recv`` *is* that module's job — it is the
-transport, not a kernel.
+``.accept``, ``.connect``, ``.select``).
 """
 
 from __future__ import annotations
@@ -61,22 +59,19 @@ class ObsBlockingInWaveRule(Rule):
     severity: ClassVar[Severity] = Severity.WARNING
     summary: ClassVar[str] = (
         "blocking I/O (open/print/sleep/pipe round-trip) inside the "
-        "repro.sim.fast wave loop; telemetry must piggyback on the "
-        "boundary exchange or be read from the live-server threads"
+        "repro.sim.fast wave loop; telemetry must go to the in-memory "
+        "profiler or be read from the live-server threads"
     )
     grounding: ClassVar[str] = (
         "the observability contract (docs/OBSERVABILITY.md) promises "
         "bit-identical trajectories and ≤5% obs-disabled overhead; a "
-        "blocking call inside a kernel stalls every shard on the "
+        "blocking call inside a kernel stalls the round on the "
         "slowest writer and voids both"
     )
 
     def check(self, module: ModuleUnit) -> Iterator[Finding]:
         path = module.path.replace("\\", "/")
         if "/sim/fast" not in path:
-            return
-        if path.endswith("shard/workers.py"):
-            # The spawn-context transport: pipe send/recv IS its job.
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -87,9 +82,9 @@ class ObsBlockingInWaveRule(Rule):
                     module,
                     node,
                     f"'{label}' blocks the wave loop; move it out of the "
-                    "kernel/dispatch path (fold telemetry into the "
-                    "boundary-exchange report, or serve it from the "
-                    "live endpoint's threads)",
+                    "kernel/dispatch path (record telemetry in the "
+                    "engine's profiler, or serve it from the live "
+                    "endpoint's threads)",
                 )
 
     @staticmethod

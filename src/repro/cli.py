@@ -7,7 +7,7 @@ Examples::
     repro run e05 sizes=256,512,1024 queries=500
     repro run all quick=1
     repro run e18 obs=runs/e18        # instrumented: telemetry into runs/e18
-    repro run e22 engine=sharded obs=runs/e22 live=:9099
+    repro run e22 obs=runs/e22 live=:9099
                                       # + live /metrics + /health endpoint
     repro obs summarize runs/e18      # inspect the artifacts afterwards
     repro obs phases runs/e22         # round-phase wall-clock attribution

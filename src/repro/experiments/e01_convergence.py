@@ -51,14 +51,10 @@ def run(
     ``engine="fast"`` opts into the batched struct-of-arrays engine
     (:mod:`repro.sim.fast`, docs/PERF.md) — same phases, same seeds per
     trial, orders of magnitude faster at large ``sizes``.
-    ``engine="sharded"`` runs the sharded front-end over the same batched
-    kernels (two in-process id-range shards; a bit-exact replay of
-    ``"fast"`` on id-sorted states, docs/PERF.md).
     """
-    if engine not in ("reference", "fast", "sharded"):
+    if engine not in ("reference", "fast"):
         raise ValueError(
-            f"unknown engine {engine!r}; expected 'reference', 'fast', or "
-            "'sharded'"
+            f"unknown engine {engine!r}; expected 'reference' or 'fast'"
         )
     result = ExperimentResult(
         experiment="e01",
@@ -86,12 +82,11 @@ def run(
             for t in range(trials):
                 rng = seed_rng(seed, name, n, t)
                 states = factory(n, rng)
-                if engine in ("fast", "sharded"):
+                if engine == "fast":
                     from repro.sim.fast import FastSimulator, fast_phase_predicates
 
-                    mode = "batched" if engine == "fast" else "sharded"
                     sim: Simulator | FastSimulator = FastSimulator.from_states(
-                        states, config, mode=mode, rng=rng
+                        states, config, rng=rng
                     )
                     preds = fast_phase_predicates(include_phase4=False)
                     stats = sim.engine.stats

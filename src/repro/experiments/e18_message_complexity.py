@@ -49,13 +49,11 @@ __all__ = ["run"]
 TrialResult = tuple[int, MessageStats, int, float]
 
 
-def _stabilize_fast(
-    name: str, n: int, trial: int, seed: int, mode: str = "batched"
-) -> TrialResult:
-    """One batched- or sharded-engine trial."""
+def _stabilize_fast(name: str, n: int, trial: int, seed: int) -> TrialResult:
+    """One batched-engine trial."""
     rng = seed_rng(seed, name, n, trial)
     sim = FastSimulator.from_states(
-        TOPOLOGIES[name](n, rng), ProtocolConfig(), mode=mode, rng=rng
+        TOPOLOGIES[name](n, rng), ProtocolConfig(), rng=rng
     )
     rounds = sim.run_until(
         fast_is_sorted_ring, max_rounds=300 * n, what=f"{name} n={n}"
@@ -64,11 +62,6 @@ def _stabilize_fast(
     before = stats.total
     sim.run(10)
     return rounds, stats, before, (stats.total - before) / 10
-
-
-def _stabilize_sharded(name: str, n: int, trial: int, seed: int) -> TrialResult:
-    """One sharded-engine trial (two in-process id-range shards)."""
-    return _stabilize_fast(name, n, trial, seed, mode="sharded")
 
 
 def _stabilize_reference(
@@ -99,13 +92,11 @@ def run(
     """One row per (topology, n): messages and rounds to the sorted ring."""
     stabilizers = {
         "fast": _stabilize_fast,
-        "sharded": _stabilize_sharded,
         "reference": _stabilize_reference,
     }
     if engine not in stabilizers:
         raise ValueError(
-            f"unknown engine {engine!r}; expected 'fast', 'sharded', or "
-            "'reference'"
+            f"unknown engine {engine!r}; expected 'fast' or 'reference'"
         )
     stabilize = stabilizers[engine]
     result = ExperimentResult(

@@ -33,7 +33,7 @@ from repro.topology.generators import TOPOLOGIES
 
 __all__ = ["converged_lrl_ranks", "run"]
 
-_ENGINES = ("fast", "sharded", "reference")
+_ENGINES = ("fast", "reference")
 
 
 def _lrl_ranks(ids: np.ndarray, lrl: np.ndarray) -> np.ndarray:
@@ -98,15 +98,11 @@ def run(
     loss_rate: float = 0.0,
     burst_stop: int = 60,
     engine: str = "fast",
-    shards: int = 2,
-    workers: int = 0,
 ) -> ExperimentResult:
     """Run the scale sweep; one row per size.
 
     ``engine`` selects the primary engine: ``"fast"`` (the batched
-    default), ``"sharded"`` (the multiprocess sharded engine, with
-    *shards* id-range blocks on *workers* processes — ``workers=0`` runs
-    every shard in-process), or ``"reference"`` (the per-node engine, for
+    default) or ``"reference"`` (the per-node engine, for
     the cross-engine conformance matrix at small n).  The timing column
     ``fast_s`` always reports the primary engine's wall clock, and the
     ``peak_rss_mb`` column the process peak RSS after the row's run.
@@ -152,9 +148,6 @@ def run(
     )
     if loss_rate:
         result.params["burst_stop"] = burst_stop
-    if engine == "sharded":
-        result.params["shards"] = shards
-        result.params["workers"] = workers
     factory = TOPOLOGIES[topology]
     config = ProtocolConfig()
     for n in sizes:
@@ -191,21 +184,11 @@ def run(
                 what="sorted ring (reference primary)",
             )
         else:
-            if engine == "sharded":
-                fast = FastSimulator.from_states(
-                    [s.copy() for s in states],
-                    config,
-                    mode="sharded",
-                    shards=shards,
-                    workers=workers,
-                    rng=seed_rng(seed, "fast", n),
-                )
-            else:
-                fast = FastSimulator.from_states(
-                    [s.copy() for s in states],
-                    config,
-                    rng=seed_rng(seed, "fast", n),
-                )
+            fast = FastSimulator.from_states(
+                [s.copy() for s in states],
+                config,
+                rng=seed_rng(seed, "fast", n),
+            )
             t0 = time.perf_counter()
             fast_rounds = fast.run_until(
                 fast_is_sorted_ring,
@@ -276,8 +259,6 @@ def run(
             guard_stats = fast.engine.guard.stats
             row["overhead_frames"] = guard_stats.overhead_frames()
             row["abandoned"] = guard_stats.abandoned
-        if engine == "sharded":
-            fast.engine.close()
         result.rows.append(row)
 
     measured = [r for r in result.rows if r["speedup"] != ""]

@@ -15,8 +15,6 @@ the chaos subsystem, and every registered experiment:
   :class:`Observer` hub and its ambient activation;
 * :mod:`repro.obs.live` — the in-run Prometheus scrape endpoint + JSON
   health document (``repro run <id> obs=DIR live=:PORT``);
-* :mod:`repro.obs.shard` — cross-shard telemetry aggregation (per-worker
-  kernel timings and exchange volumes under ``shard=`` labels);
 * :mod:`repro.obs.phases` — round-phase wall-clock attribution
   (``repro obs phases DIR``);
 * :mod:`repro.obs.sources` — folds for the pre-existing recorders
@@ -52,7 +50,6 @@ _EXPORTS: dict[str, str] = {
     "validate_prometheus_text": "repro.obs.exporters",
     "LiveServer": "repro.obs.live",
     "LiveStatus": "repro.obs.live",
-    "ShardTelemetrySink": "repro.obs.shard",
     "phase_report": "repro.obs.phases",
     "render_phase_report": "repro.obs.phases",
     "MANIFEST_SCHEMA": "repro.obs.manifest",

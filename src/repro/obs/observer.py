@@ -140,23 +140,13 @@ class Observer:
                 scheduler.profiler = self.profiler_for(kind)
         elif hasattr(sim, "engine"):
             engine = sim.engine
-            if hasattr(engine, "shard_sink"):
-                # The sharded coordinator: give it the phase profiler plus
-                # a ShardTelemetrySink so per-worker deltas piggybacked on
-                # finish_round land in the registry under shard= labels.
-                kind = "sharded"
-                from repro.obs.shard import ShardTelemetrySink
-
+            kind = (
+                "mirror"
+                if type(engine).__name__.endswith("MirrorEngine")
+                else "fast"
+            )
+            if hasattr(engine, "profiler"):
                 engine.profiler = self.profiler_for(kind)
-                engine.shard_sink = ShardTelemetrySink(self.registry)
-            else:
-                kind = (
-                    "mirror"
-                    if type(engine).__name__.endswith("MirrorEngine")
-                    else "fast"
-                )
-                if hasattr(engine, "profiler"):
-                    engine.profiler = self.profiler_for(kind)
         index = self._sim_count
         self._sim_count += 1
         self.event("attach", sim=index, engine=kind)

@@ -1,24 +1,23 @@
 """Round-phase attribution: where did the wall-clock of a run go?
 
 ``repro obs phases DIR`` reads a finished run's ``manifest.json`` and
-answers the question the ROADMAP's 10^6 item asks: how much of the
-measured round time is *attributed* to named phases, and how is it
-split.  For the sharded engine the coordinator profiler partitions
-``execute_round`` into
+answers one question: how much of the measured round time is
+*attributed* to named phases, and how is it split.  For the batched
+engine the kernel profiler partitions ``execute_round`` into
 
-* ``flush``    — shard-side outbox flush + owner partition (``route_take``);
-* ``exchange`` — transposing and delivering the boundary wire chunks
-  (``prepare_round``);
-* ``rng``      — coordinator-side delivery-key and move-and-forget draws;
-* ``dispatch`` — kernel dispatch on the shards (``start_round`` through
-  ``finish_round``, including the reslrl pause-point round-trips);
-* ``merge``    — folding per-shard reports into coordinator state;
+* ``flush``   — inbox assembly: outbox take, resolve, dedup, delivery
+  keys, wave ranks (:func:`~repro.sim.fast.buffers.build_inbox`);
+* ``waves``   — grouping the inbox into conflict-free ``(wave, type)``
+  dispatch units;
+* one phase per message kernel (``linearize``, ``move_forget``, ...);
+* ``regular`` — the batched regular action over all live nodes;
+* ``close``   — end-of-round bookkeeping (send counts into the stats;
+  the chaos engines also settle their wire and guard here).
 
-and the per-shard telemetry (:mod:`repro.obs.shard`) additionally breaks
-worker-side time down by kernel.  *Attribution* is the ratio of summed
-phase seconds to the ``round_seconds`` histogram's measured wall-clock —
-the acceptance gate demands ≥ 95% of sharded wall-clock lands in a named
-phase, so nothing material hides between the phases.
+*Attribution* is the ratio of summed phase seconds to the
+``round_seconds`` histogram's measured wall-clock; the acceptance gate
+(``benchmarks/phases.py``) demands ≥ 95%, so nothing material hides
+between the phase markers.
 
 Stdlib-only, like the rest of the ``repro obs`` CLI surface.
 """
@@ -29,16 +28,11 @@ import json
 import os
 
 __all__ = [
-    "SHARDED_PHASES",
     "attribution",
     "load_run_manifest",
     "phase_report",
     "render_phase_report",
 ]
-
-#: The coordinator-phase partition of the sharded engine's round.
-SHARDED_PHASES = ("dispatch", "exchange", "flush", "merge", "rng")
-
 
 def load_run_manifest(target: str) -> dict[str, object]:
     """Load ``manifest.json`` from a run directory (or a direct path)."""
@@ -69,31 +63,6 @@ def _round_wall_by_engine(manifest: dict[str, object]) -> dict[str, float]:
         total = sample.get("sum")
         if isinstance(total, (int, float)):
             out[engine] = out.get(engine, 0.0) + float(total)
-    return out
-
-
-def _shard_kernel_seconds(
-    manifest: dict[str, object],
-) -> dict[str, dict[str, float]]:
-    """``{shard: {phase: seconds}}`` from ``shard_phase_seconds_total``."""
-    out: dict[str, dict[str, float]] = {}
-    metrics = manifest.get("metrics")
-    if not isinstance(metrics, dict):
-        return out
-    body = metrics.get("shard_phase_seconds_total")
-    if not isinstance(body, dict):
-        return out
-    for sample in body.get("samples", []):  # type: ignore[union-attr]
-        if not isinstance(sample, dict):
-            continue
-        labels = sample.get("labels")
-        if not isinstance(labels, dict):
-            continue
-        shard = str(labels.get("shard", "?"))
-        phase = str(labels.get("phase", "?"))
-        value = sample.get("value")
-        if isinstance(value, (int, float)):
-            out.setdefault(shard, {})[phase] = float(value)
     return out
 
 
@@ -150,7 +119,6 @@ def phase_report(manifest: dict[str, object]) -> dict[str, object]:
     return {
         "experiment": manifest.get("experiment", ""),
         "engines": engines,
-        "shards": _shard_kernel_seconds(manifest),
     }
 
 
@@ -183,17 +151,4 @@ def render_phase_report(report: dict[str, object]) -> str:
                 f"  {timing['share'] * 100:>5.1f}%"
                 f"  ({timing['calls']} calls)"
             )
-    shards = report.get("shards")
-    if isinstance(shards, dict) and shards:
-        lines.append("worker-side kernel time (shard_phase_seconds_total):")
-        for shard in sorted(shards, key=lambda s: (len(s), s)):
-            per_phase = shards[shard]
-            assert isinstance(per_phase, dict)
-            rendered = "  ".join(
-                f"{phase}={seconds:.3f}s"
-                for phase, seconds in sorted(
-                    per_phase.items(), key=lambda kv: -kv[1]
-                )
-            )
-            lines.append(f"  shard={shard}: {rendered}")
     return "\n".join(lines)

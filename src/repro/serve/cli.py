@@ -3,11 +3,11 @@
 Parameters follow the ``repro run`` key=value convention::
 
     repro serve n=4096 topology=stable engine=fast api=:8080 metrics=:9099
-    repro serve n=2048 engine=sharded shards=4 obs=serve-run api=:0
+    repro serve n=2048 obs=serve-run api=:0
     repro serve n=512 topology=random_tree duration=30
 
 Keys: ``n``, ``topology`` (``stable`` or a generator name), ``engine``
-(``fast``/``sharded``), ``shards``, ``workers``, ``seed``, ``api`` and
+(only ``fast``, the batched engine), ``seed``, ``api`` and
 ``metrics`` (``:PORT`` / ``HOST:PORT``; ``:0`` asks for an ephemeral
 port), ``obs=DIR`` (full artifact set + ``DIR/serve.json`` announcing
 the bound addresses), ``pace`` (seconds slept per round), ``rounds``
@@ -29,7 +29,7 @@ from collections.abc import Sequence
 __all__ = ["main"]
 
 _KNOWN = {
-    "n", "topology", "engine", "shards", "workers", "seed", "api",
+    "n", "topology", "engine", "seed", "api",
     "metrics", "obs", "pace", "rounds", "duration", "sanitize",
 }
 
@@ -44,6 +44,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if unknown:
         print(f"unknown serve parameter(s): {sorted(unknown)}", file=sys.stderr)
         return 2
+    engine = str(params.pop("engine", "fast"))
+    if engine != "fast":
+        print(f"unknown engine {engine!r}; expected 'fast'", file=sys.stderr)
+        return 2
     duration = float(params.pop("duration", 0) or 0)
     obs_dir = params.pop("obs", None)
     rounds = params.pop("rounds", None)
@@ -51,9 +55,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     service = build_service(
         n=int(params.pop("n", 4096)),
         topology=str(params.pop("topology", "stable")),
-        engine=str(params.pop("engine", "fast")),
-        shards=int(params.pop("shards", 2)),
-        workers=int(params.pop("workers", 0)),
         seed=int(params.pop("seed", 7)),
         api=params.pop("api", ":0"),
         metrics=params.pop("metrics", ":0"),

@@ -8,8 +8,7 @@ pieces make that safe and fast:
     An immutable rank-space snapshot of the live SoA columns, published
     by the engine thread once per round boundary.  Publication borrows
     the engine's cached sorted-id array (:meth:`SoAState.sorted_live`
-    replaces — never mutates — it on rebuild, and the sharded engine's
-    ``MergedSoAView`` is itself replaced per round), then compresses the
+    replaces — never mutates — it on rebuild), then compresses the
     ``l``/``r``/``lrl`` link columns into integer ranks with one
     vectorized ``searchsorted`` pass.  That is the *only* O(n) work per
     round; serving a lookup copies nothing and materializes no per-node
@@ -100,20 +99,11 @@ class RouteView:
         """
         soa = engine.soa
         ids, idx = soa.sorted_live()
-        from repro.sim.fast.shard.engine import MergedSoAView
-
-        if isinstance(soa, MergedSoAView):
-            # The merged view is itself a per-round immutable snapshot in
-            # sorted order; borrow its columns outright instead of
-            # gathering them through the identity permutation.
-            l, r, lrl = soa.l, soa.r, soa.lrl
-        else:
-            l, r, lrl = soa.l[idx], soa.r[idx], soa.lrl[idx]
         return cls(
             ids,
-            _link_ranks(ids, l),
-            _link_ranks(ids, r),
-            _link_ranks(ids, lrl),
+            _link_ranks(ids, soa.l[idx]),
+            _link_ranks(ids, soa.r[idx]),
+            _link_ranks(ids, soa.lrl[idx]),
             round_index,
         )
 

@@ -2,7 +2,7 @@
 
 :class:`OverlayService` glues the three serving pieces together:
 
-* an :class:`~repro.serve.host.EngineHost` stepping the fast/sharded
+* an :class:`~repro.serve.host.EngineHost` stepping the batched
   engine on its own thread and publishing
   :class:`~repro.serve.routing.RouteView` snapshots;
 * the *existing* :class:`repro.obs.live.LiveServer` embedded as the
@@ -168,9 +168,6 @@ class OverlayService:
         if thread is not None:
             thread.join(timeout=30)
         self.host.stop()
-        close = getattr(self.host.sim.engine, "close", None)
-        if callable(close):
-            close()
         self.observer.close()
 
     @property
@@ -517,9 +514,6 @@ def build_service(
     *,
     n: int = 4096,
     topology: str = "stable",
-    engine: str = "fast",
-    shards: int = 2,
-    workers: int = 0,
     seed: int = 7,
     config: "ProtocolConfig | None" = None,
     sanitize: bool | None = None,
@@ -537,8 +531,7 @@ def build_service(
     of Fact 4.21 (sorted ring + 1-harmonic long-range links), the
     production bring-up path — or any name from
     :data:`repro.topology.generators.TOPOLOGIES` for a cold start that
-    converges while serving.  *engine* is ``"fast"`` (batched) or
-    ``"sharded"`` (*shards*/*workers* as for ``mode="sharded"``).
+    converges while serving, always on the batched engine.
 
     With *obs_dir* the full artifact set (``metrics.jsonl`` /
     ``metrics.prom`` / ``manifest.json``) is written there on stop;
@@ -567,12 +560,8 @@ def build_service(
                 f"{sorted(TOPOLOGIES)}"
             ) from None
         states = build(n, rng)
-    mode = {"fast": "batched", "sharded": "sharded"}.get(engine)
-    if mode is None:
-        raise ValueError(f"unknown engine {engine!r}; expected 'fast' or 'sharded'")
     params: dict[str, object] = {
-        "n": n, "topology": topology, "engine": engine, "seed": seed,
-        "shards": shards if engine == "sharded" else None,
+        "n": n, "topology": topology, "engine": "fast", "seed": seed,
     }
     if obs_dir is not None:
         from repro.obs.harness import run_observer
@@ -591,10 +580,7 @@ def build_service(
         sim = FastSimulator.from_states(
             states,
             config,
-            mode=mode,
             rng=seed_rng(seed, "serve-rounds"),
-            shards=shards,
-            workers=workers,
             sanitize=sanitize,
         )
     host = EngineHost(

@@ -18,7 +18,6 @@ from repro.sim.fast.batched import FastEngine
 from repro.sim.fast.chaos import ChaosFastEngine, ChaosMirrorEngine
 from repro.sim.fast.engine import FastSimulator
 from repro.sim.fast.mirror import MirrorEngine
-from repro.sim.fast.shard import ShardedEngine
 from repro.sim.fast.predicates import (
     fast_is_sorted_list,
     fast_is_sorted_ring,
@@ -34,7 +33,6 @@ __all__ = [
     "FastEngine",
     "FastSimulator",
     "MirrorEngine",
-    "ShardedEngine",
     "SoAState",
     "fast_is_sorted_list",
     "fast_is_sorted_ring",

@@ -177,7 +177,8 @@ class FastEngine:
             pool=self.pool,
         )
         if profiler is not None:
-            profiler.add("flush", time.perf_counter() - t0)
+            t1 = time.perf_counter()
+            profiler.add("flush", t1 - t0)
         self.dropped += dropped
         if inbox is not None:
             groups = self._wave_groups(inbox)
@@ -186,9 +187,14 @@ class FastEngine:
                 groups, starved = fault.rewrite(groups)
                 for code, rows in starved:
                     self._defer_rows(code, inbox, rows)
+            if profiler is not None:
+                profiler.add("waves", time.perf_counter() - t1, calls=len(groups))
             self._dispatch_groups(inbox, groups, rng)
         self._run_regular(rng)
+        t3 = time.perf_counter() if profiler is not None else 0.0
         self._close_round(rng)
+        if profiler is not None:
+            profiler.add("close", time.perf_counter() - t3)
 
     @staticmethod
     def _wave_groups(inbox: RoundInbox) -> list[WaveGroup]:

@@ -112,7 +112,9 @@ class Outbox:
     to an identifier that no longer exists.
     """
 
-    __slots__ = ("_chunks", "_compact_floor", "_counts", "auto_compact", "stats")
+    __slots__ = (
+        "_chunks", "_compact_floor", "_counts", "_rows", "auto_compact", "stats",
+    )
 
     #: Below this many staged rows a type is never worth compacting.
     COMPACT_MIN = 4096
@@ -121,6 +123,9 @@ class Outbox:
         self.stats = stats
         self._chunks: list[list[_Chunk]] = [[] for _ in range(N_TYPES)]
         self._counts: list[int] = [0] * N_TYPES
+        #: Staged rows per type, kept exact through every mutation so the
+        #: compaction trigger never rescans the chunk list.
+        self._rows: list[int] = [0] * N_TYPES
         #: Coalesce + dedup staged rows mid-round once a type's backlog
         #: doubles (engine-enabled only under coalescing-set semantics;
         #: the chaos wire needs the raw frame multiset and keeps this off).
@@ -141,12 +146,13 @@ class Outbox:
         if count == 0:
             return
         self._counts[code] += count
+        self._rows[code] += count
         chunks = self._chunks[code]
         chunks.append((dest, a, b, c, origin))
         if (
             self.auto_compact
             and len(chunks) >= 8
-            and sum(len(ch[0]) for ch in chunks) >= self._compact_floor[code]
+            and self._rows[code] >= self._compact_floor[code]
         ):
             self._compact_code(code)
 
@@ -200,15 +206,8 @@ class Outbox:
                 origin,
             )
         ]
+        self._rows[code] = len(keep)
         self._compact_floor[code] = max(self.COMPACT_MIN, 2 * len(keep))
-
-    def drain_counts(self) -> list[int]:
-        """Remove and return the per-type send counts accumulated since the
-        last flush (shard cores report these to the coordinator instead of
-        owning shared stats)."""
-        counts = self._counts
-        self._counts = [0] * N_TYPES
-        return counts
 
     def flush_stats(self) -> None:
         """Transfer accumulated send counts into the shared stats.
@@ -227,6 +226,7 @@ class Outbox:
         """Remove and return all staged chunks (the per-round flush)."""
         chunks = self._chunks
         self._chunks = [[] for _ in range(N_TYPES)]
+        self._rows = [0] * N_TYPES
         return chunks
 
     # ------------------------------------------------------------------
@@ -255,7 +255,7 @@ class Outbox:
 
     def pending_total(self) -> int:
         """Number of staged messages."""
-        return sum(len(ch[0]) for chunks in self._chunks for ch in chunks)
+        return sum(self._rows)
 
     def pending_messages(self) -> list[tuple[float, Message]]:
         """Materialize pending messages as ``(dest, Message)`` pairs.
@@ -285,6 +285,7 @@ class Outbox:
                 keep = keep_of_chunk(code, ch)
                 kept = int(keep.sum())
                 removed += len(ch[0]) - kept
+                self._rows[code] -= len(ch[0]) - kept
                 if kept == 0:
                     continue
                 if kept == len(ch[0]):
@@ -319,6 +320,7 @@ class Outbox:
         """
         if len(dest) == 0:
             return
+        self._rows[code] += len(dest)
         self._chunks[code].append((dest, a, b, c, origin))
 
     def drop_and_purge_batch(self, victims: np.ndarray) -> int:
@@ -351,6 +353,7 @@ class Outbox:
                 doomed = (d < absent) | (m < absent)
                 counted += int((doomed & (d <= m)).sum())
                 kept = int(len(ch[0]) - doomed.sum())
+                self._rows[code] -= len(ch[0]) - kept
                 if kept == 0:
                     continue
                 if kept == len(ch[0]):
@@ -442,15 +445,14 @@ class PreparedInbox:
     slots, dead destinations dropped, and (under ``dedup``) exact
     duplicates coalesced with the rows re-emitted in the content-determined
     canonical order — destination-slot-major, non-``reslrl`` block first,
-    ``reslrl`` block last.  Canonical order is a pure function of the row
-    *set*, independent of staging order; the sharded engine leans on this
-    to draw one global delivery-key array and scatter contiguous slices to
-    shards (slot blocks are id-contiguous, so the global canonical order is
-    the shard-ascending concatenation of per-shard canonical orders).
+    ``reslrl`` block last.  Under ``dedup`` canonical order is a pure
+    function of the row *set*, independent of staging order and chunking,
+    so an external draw source can key the rows without replaying the
+    engine's sends (``tests/test_wave_uniqueness.py`` pins this).
+    Without ``dedup`` rows keep their per-type staging order.
 
-    ``n_res`` counts the trailing ``reslrl`` rows (only meaningful under
-    ``dedup``, where the block is a suffix).  ``packed_ok`` reports whether
-    every slot index fits the packed 21+42-bit sort encoding.
+    ``packed_ok`` reports whether every slot index fits the packed
+    21+42-bit sort encoding.
     """
 
     dest_idx: np.ndarray
@@ -458,7 +460,6 @@ class PreparedInbox:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    n_res: int
     packed_ok: bool
 
     def __len__(self) -> int:
@@ -525,7 +526,6 @@ def prepare_inbox(
         a, b, c = a[found], b[found], c[found]
     if len(dest_idx) == 0:
         return None, dropped
-    n_res = int((tcode == RESLRL).sum())
 
     if dedup:
         # Exact row dedup via integer keys: (dest, type) packed into one
@@ -571,7 +571,6 @@ def prepare_inbox(
         dest_idx = dest_idx[unique_pos]
         tcode = tcode[unique_pos]
         a, b, c = a[unique_pos], b[unique_pos], c[unique_pos]
-        n_res = len(keep_chunks[-1]) if hi > lo else 0
 
     packed_ok = bool(len(dest_idx)) and int(dest_idx.max()) < (1 << 21)
     return (
@@ -581,7 +580,6 @@ def prepare_inbox(
             a=a,
             b=b,
             c=c,
-            n_res=n_res,
             packed_ok=packed_ok,
         ),
         dropped,
@@ -609,8 +607,8 @@ def finalize_inbox(pre: PreparedInbox, keys: np.ndarray) -> RoundInbox:
     *keys* aligns with *pre*'s canonical row order — either int64 (packed
     encoding, requires ``pre.packed_ok``) or float64 (lexsort path).  Key
     ties fall back to canonical position order via the stable sort: an
-    exchangeable tiebreak, still a uniform delivery order, and — crucially
-    for the sharded engine — a *content-determined* one.
+    exchangeable tiebreak, still a uniform delivery order, and (under
+    ``dedup``) a *content-determined* one.
     """
     dest_idx = pre.dest_idx
     if keys.dtype == np.int64:
@@ -664,8 +662,10 @@ def build_inbox(
     """Assemble the round's inbox from last round's staged chunks.
 
     The composition :func:`prepare_inbox` → :func:`draw_delivery_keys` →
-    :func:`finalize_inbox`; the split stages exist so the sharded engine
-    can interpose the coordinator's key draw between them.
+    :func:`finalize_inbox`.  The split keeps the round's only
+    delivery-order draw a separate, replaceable step: a scheduler that
+    owns the random stream can key the prepared rows itself and reproduce
+    this engine's delivery order bit for bit.
 
     Parameters
     ----------

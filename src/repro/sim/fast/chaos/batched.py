@@ -25,7 +25,6 @@ injector per round before this engine is trusted at scale (docs/CHAOS.md,
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
@@ -314,8 +313,6 @@ class ChaosFastEngine(FastEngine):
     def _take_wire(self, rng: np.random.Generator) -> list:
         """Advance the wire clock and collect this tick's deliveries."""
         del rng
-        profiler = self.profiler
-        t0 = time.perf_counter() if profiler is not None else 0.0
         self._tick += 1
         wire = self._wire
         due_mask = wire.due <= self._tick
@@ -391,8 +388,6 @@ class ChaosFastEngine(FastEngine):
                 if len(rows):
                     self._transmit_rows(rows)
             self._guard.compact()
-        if profiler is not None:
-            profiler.add("wire", time.perf_counter() - t0)
         return chunks
 
     def _close_round(self, rng: np.random.Generator) -> None:
@@ -404,8 +399,6 @@ class ChaosFastEngine(FastEngine):
         and stamp delivery ticks.
         """
         del rng
-        profiler = self.profiler
-        t0 = time.perf_counter() if profiler is not None else 0.0
         self.outbox.flush_stats()
         staged = self.outbox.take_all()
         parts: list[WireRows] = []
@@ -430,8 +423,6 @@ class ChaosFastEngine(FastEngine):
                 gmask &= np.isfinite(rows.origin)
                 self._guard.wrap_rows(rows, gmask, self._tick)
             self._transmit_rows(rows)
-        if profiler is not None:
-            profiler.add("wire", time.perf_counter() - t0)
 
     def _transmit_rows(self, rows: WireRows) -> None:
         """Run *rows* through the active fault chain onto the wire."""

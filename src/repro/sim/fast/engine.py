@@ -21,7 +21,6 @@ from repro.core.state import NodeState, StateTuple
 from repro.sim.engine import BaseSimulator
 from repro.sim.fast.batched import FastEngine
 from repro.sim.fast.mirror import MirrorEngine
-from repro.sim.fast.shard import ShardedEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle guard)
     from repro.sim.chaos.guard import GuardPolicy
@@ -30,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle guard)
 __all__ = ["FastSimulator"]
 
 #: Any engine the driver can host.
-AnyFastEngine = FastEngine | MirrorEngine | ShardedEngine
+AnyFastEngine = FastEngine | MirrorEngine
 
 
 class FastSimulator(BaseSimulator[AnyFastEngine]):
@@ -67,8 +66,6 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
         keep_history: bool = False,
         rng: np.random.Generator | int | None = None,
         sanitize: bool | None = None,
-        shards: int = 2,
-        workers: int = 0,
     ) -> "FastSimulator":
         """Build an engine of the requested *mode* and wrap it.
 
@@ -79,11 +76,6 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
         ``mode="mirror-chaos"`` (bit-exact ``ChaosNetwork`` twin) — accept
         a :class:`~repro.sim.chaos.guard.GuardPolicy` via *guard* to
         enable the guarded-handoff transport (docs/CHAOS.md).
-        ``mode="sharded"`` partitions the id space over *shards*
-        contiguous :class:`ShardCore` blocks, optionally on a *workers*-
-        process pool (``workers=0`` runs every shard in-process); it
-        requires ``dedup=True`` and replays the batched engine
-        bit-for-bit (docs/PERF.md).
 
         *sanitize* turns on the flow sanitizer
         (:mod:`repro.sim.fast.sanitize`): per-kernel access recording,
@@ -100,16 +92,6 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
         if mode == "batched":
             engine = FastEngine(
                 states, config, dedup=dedup, keep_history=keep_history,
-                sanitize=sanitize,
-            )
-        elif mode == "sharded":
-            engine = ShardedEngine(
-                states,
-                config,
-                shards=shards,
-                workers=workers,
-                dedup=dedup,
-                keep_history=keep_history,
                 sanitize=sanitize,
             )
         elif mode == "mirror":
@@ -142,7 +124,7 @@ class FastSimulator(BaseSimulator[AnyFastEngine]):
         else:
             raise ValueError(
                 f"unknown engine mode {mode!r}; expected 'batched', "
-                "'sharded', 'mirror', 'chaos', or 'mirror-chaos'"
+                "'mirror', 'chaos', or 'mirror-chaos'"
             )
         return cls(engine, rng)
 

@@ -153,10 +153,10 @@ class Kernels:
         """Step each long-range-link token, then apply the forget coin.
 
         *coins*/*forget_u* optionally inject the two uniform draws (both
-        sized to the post-validation batch).  The sharded coordinator uses
-        this to keep one global RNG stream: it draws for every shard's
-        batch at once and scatters the slices, so any shard count replays
-        the single-process draw sequence bit-for-bit.
+        sized to the post-validation batch).  The seam lets a caller that
+        owns the random stream (a wave scheduler replaying this engine's
+        draws) supply them; uninjected calls draw here, from the same
+        stream position, so seeded runs are unchanged either way.
         """
         if not self.maf or len(idx) == 0:
             return
@@ -172,7 +172,7 @@ class Kernels:
         known2 = id2 != POS_INF
         both = known1 & known2
         if coins is None:
-            coins = rng.random(len(idx))  # repro-flow: ignore[flow-branch-rng] injection seam, not a data branch: the sharded coordinator pre-draws this exact batch from the same stream position; uninjected callers draw here, one coin per validated row either way
+            coins = rng.random(len(idx))  # repro-flow: ignore[flow-branch-rng] injection seam, not a data branch: an injecting caller supplies this exact batch from the same stream position; uninjected callers draw here, one coin per validated row either way
         new_lrl = s.lrl[idx].copy()
         new_lrl[known1] = id1[known1]
         take2 = (known2 & ~known1) | (both & (coins >= 0.5))

@@ -30,7 +30,6 @@ from repro.ids import NEG_INF, POS_INF
 from repro.sim.fast.batched import FastEngine
 from repro.sim.fast.buffers import LIN
 from repro.sim.fast.mirror import MirrorEngine
-from repro.sim.fast.shard import ShardedEngine
 
 __all__ = [
     "FastPredicateTarget",
@@ -46,7 +45,7 @@ __all__ = [
 ]
 
 #: Any fast engine; all expose ``soa`` and ``inflight_pairs``.
-FastPredicateTarget = FastEngine | MirrorEngine | ShardedEngine
+FastPredicateTarget = FastEngine | MirrorEngine
 
 
 def fast_is_sorted_list(engine: FastPredicateTarget) -> bool:

@@ -38,9 +38,10 @@ from repro.topology.generators import TOPOLOGIES
 #: below.
 ENGINE_AWARE = {"e01", "e06", "e07", "e17", "e18", "e21", "e22"}
 
-#: Experiments that additionally accept ``engine="sharded"`` (the
-#: multiprocess sharded engine, docs/PERF.md).
-SHARDED_AWARE = ("e01", "e18", "e22")
+#: Experiments that must reject ``engine="sharded"`` and take no
+#: ``shards=``/``workers=`` options (there is no sharded engine,
+#: docs/PERF.md §8).
+FORMERLY_SHARDED = ("e01", "e18", "e22")
 
 #: Small-n ``run()`` invocations per engine-aware experiment.
 QUICK_PARAMS: dict[str, dict[str, object]] = {
@@ -90,43 +91,14 @@ def test_run_conformance_matrix(experiment: str, engine: str) -> None:
         assert list(row) == list(ref_row)
 
 
-@pytest.mark.parametrize("experiment", SHARDED_AWARE)
-def test_run_conformance_matrix_sharded(experiment: str) -> None:
-    """``engine="sharded"`` rows are structurally identical to the
-    reference engine's for every sharded-aware experiment."""
+@pytest.mark.parametrize("experiment", FORMERLY_SHARDED)
+def test_sharded_engine_rejected(experiment: str) -> None:
+    """``engine="sharded"`` and the shard options are rejected up front."""
     spec = EXPERIMENTS[experiment]
-    result = spec.run(engine="sharded", **QUICK_PARAMS[experiment])
-    assert result.params["engine"] == "sharded"
-    assert result.rows
-    reference = spec.run(engine="reference", **QUICK_PARAMS[experiment])
-    assert len(result.rows) == len(reference.rows)
-    for row, ref_row in zip(result.rows, reference.rows):
-        assert list(row) == list(ref_row)
-
-
-@pytest.mark.parametrize("shards", [2, 4])
-def test_sharded_bit_identical_vs_fast_n2048(shards: int) -> None:
-    """Acceptance pin: at n=2048 the sharded engine (shards >= 2) replays
-    the single-process batched engine bit-for-bit — identical topology
-    snapshot and message census after a shared round budget."""
-    from repro.sim.fast.batched import FastEngine
-    from repro.sim.fast.shard import ShardedEngine
-
-    states = sorted(
-        TOPOLOGIES["line"](2048, np.random.default_rng(22)),
-        key=lambda s: s.id,
-    )
-    fast = FastEngine(states, ProtocolConfig(), dedup=True)
-    sharded = ShardedEngine(states, ProtocolConfig(), shards=shards)
-    r1 = np.random.default_rng(4242)
-    r2 = np.random.default_rng(4242)
-    for _ in range(48):
-        fast.execute_round(r1)
-        sharded.execute_round(r2)
-    assert fast.state_snapshot() == sharded.state_snapshot()
-    assert fast.stats.total == sharded.stats.total
-    assert fast.stats.totals_by_type == sharded.stats.totals_by_type
-    assert fast.pending_total() == sharded.pending_total()
+    with pytest.raises(ValueError, match="unknown engine 'sharded'"):
+        spec.run(engine="sharded", **QUICK_PARAMS[experiment])
+    for option in ("shards", "workers"):
+        assert option not in inspect.signature(spec.run).parameters
 
 
 @pytest.mark.parametrize("topo", ["line", "random_tree", "star"])

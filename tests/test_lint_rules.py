@@ -317,7 +317,7 @@ def test_registry_is_consistent():
 
 
 # ----------------------------------------------------------------------
-# scalar-loop-over-soa (error since the sharding PR; path-gated to
+# scalar-loop-over-soa (promoted to error; path-gated to
 # repro/sim/fast — every deliberate scalar site carries its pragma)
 # ----------------------------------------------------------------------
 def test_scalar_loop_over_soa_fires_under_fast_path():
@@ -339,8 +339,8 @@ def test_scalar_loop_over_soa_is_path_gated():
 
 
 # ----------------------------------------------------------------------
-# obs-blocking-in-wave (advisory; path-gated to repro/sim/fast with the
-# shard pipe transport exempt — ISSUE 9's never-block telemetry contract)
+# obs-blocking-in-wave (advisory; path-gated to repro/sim/fast with no
+# exemptions — the never-block telemetry contract)
 # ----------------------------------------------------------------------
 def test_obs_blocking_in_wave_fires_under_fast_path():
     source = (FIXTURES / "bad_obs_blocking.py").read_text(encoding="utf-8")
@@ -359,9 +359,11 @@ def test_obs_blocking_in_wave_scope_and_exemptions():
     # Outside repro/sim/fast the rule never applies (harness/exporter
     # code is allowed to do real I/O).
     assert lint_fixture("bad_obs_blocking.py") == []
-    # shard/workers.py is the pipe transport: send/recv IS its job.
+    # No module under repro/sim/fast is exempt: a pipe round-trip is
+    # flagged wherever it sits in the package.
     transport = "def drain(conn):\n    return conn.recv()\n"
-    assert lint_source("src/repro/sim/fast/shard/workers.py", transport) == []
+    findings = lint_source("src/repro/sim/fast/shard/workers.py", transport)
+    assert fired(findings) == {"obs-blocking-in-wave"}
     # The pragma names the rule and suppresses it like any other.
     pragma = (
         "def f():\n"

@@ -1,13 +1,11 @@
-"""Live telemetry (ISSUE 9): scrape endpoint, shard telemetry, phases.
+"""Live telemetry: scrape endpoint and round-phase attribution.
 
-Covers the three tentpole pieces end to end:
+Covers the live pieces end to end:
 
 * :mod:`repro.obs.live` — address parsing, the background HTTP server
   (``/metrics`` + ``/health``), the throttled convergence probes, and
-  the never-perturb contract (bit-identical sharded trajectories with
-  the endpoint live and scraped mid-run);
-* :mod:`repro.obs.shard` — per-worker telemetry folded into the
-  coordinator registry under ``shard=`` labels;
+  the never-perturb contract (bit-identical batched-engine trajectories
+  with the endpoint live and scraped mid-run);
 * :mod:`repro.obs.phases` + ``repro obs phases`` — round-phase
   attribution over the recorded manifest, with the ≥95% gate;
 * the manifest v2 ``live`` block and legacy-v1 acceptance.
@@ -48,16 +46,11 @@ def _get(url: str) -> tuple[int, str]:
         return response.status, response.read().decode("utf-8")
 
 
-def _sharded_sim(seed: int, *, workers: int = 0, n: int = N):
+def _fast_sim(seed: int, *, n: int = N, dedup: bool = True):
     rng = np.random.default_rng(seed)
     states = TOPOLOGIES["random_tree"](n, rng)
     sim = FastSimulator.from_states(
-        states,
-        ProtocolConfig(),
-        mode="sharded",
-        shards=3,
-        workers=workers,
-        rng=rng,
+        states, ProtocolConfig(), dedup=dedup, rng=rng
     )
     return sim, rng
 
@@ -177,19 +170,16 @@ class TestLiveServer:
 # ----------------------------------------------------------------------
 class TestLiveStatus:
     def test_probe_counts_unconverged_and_potential(self):
-        sim, _ = _sharded_sim(3)
-        try:
-            status = LiveStatus()
-            status.probe(sim)
-            # A fresh random tree is far from the sorted list.
-            assert status.unconverged > 0
-            assert status.potential > 0.0
-            sim.run(40 * N)
-            status.probe(sim)
-            assert status.unconverged == 0
-            assert status.potential == 0.0
-        finally:
-            sim.engine.close()
+        sim, _ = _fast_sim(3)
+        status = LiveStatus()
+        status.probe(sim)
+        # A fresh random tree is far from the sorted list.
+        assert status.unconverged > 0
+        assert status.potential > 0.0
+        sim.run(40 * N)
+        status.probe(sim)
+        assert status.unconverged == 0
+        assert status.potential == 0.0
 
     def test_probe_skips_engines_without_soa(self):
         status = LiveStatus()
@@ -197,16 +187,13 @@ class TestLiveStatus:
         assert status.unconverged is None and status.potential is None
 
     def test_probes_only_run_when_scraped(self):
-        sim, _ = _sharded_sim(4)
-        try:
-            status = LiveStatus(probe_interval=0.0)
-            status.round_end(1, N, 0, sim)
-            assert status.probe_round is None  # nobody is watching
-            status.touch()
-            status.round_end(2, N, 0, sim)
-            assert status.probe_round == 2
-        finally:
-            sim.engine.close()
+        sim, _ = _fast_sim(4)
+        status = LiveStatus(probe_interval=0.0)
+        status.round_end(1, N, 0, sim)
+        assert status.probe_round is None  # nobody is watching
+        status.touch()
+        status.round_end(2, N, 0, sim)
+        assert status.probe_round == 2
 
     def test_rates_and_eta(self):
         status = LiveStatus()
@@ -228,38 +215,35 @@ class TestLiveStatus:
 # The never-perturb contract, with the endpoint live and scraped
 # ----------------------------------------------------------------------
 class TestLiveDoesNotPerturb:
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_sharded_bit_identical_with_live_scrapes(self, workers):
+    @pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "multiset"])
+    def test_fast_bit_identical_with_live_scrapes(self, dedup):
         def run(observed: bool):
-            sim, rng = _sharded_sim(17, workers=workers)
-            try:
-                if not observed:
-                    sim.run(ROUNDS)
-                else:
-                    observer = Observer(experiment="live-pin")
-                    server = LiveServer(observer, ":0").start()
-                    observer.live_server = server
-                    observer.live_status = server.status
-                    try:
-                        with activated(observer):
-                            # Re-attach so the ambient observer adopts the
-                            # already-built sim (engines self-register at
-                            # construction time normally).
-                            observer.attach_simulator(sim)
-                            for index in range(ROUNDS):
-                                sim.step_round()
-                                if index % 10 == 5:
-                                    _get(server.url + "/metrics")
-                                    _get(server.url + "/health")
-                    finally:
-                        server.stop()
-                return (
-                    sim.state_snapshot(),
-                    sim.engine.stats.totals_by_type,
-                    rng.bit_generator.state,
-                )
-            finally:
-                sim.engine.close()
+            sim, rng = _fast_sim(17, dedup=dedup)
+            if not observed:
+                sim.run(ROUNDS)
+            else:
+                observer = Observer(experiment="live-pin")
+                server = LiveServer(observer, ":0").start()
+                observer.live_server = server
+                observer.live_status = server.status
+                try:
+                    with activated(observer):
+                        # Re-attach so the ambient observer adopts the
+                        # already-built sim (engines self-register at
+                        # construction time normally).
+                        observer.attach_simulator(sim)
+                        for index in range(ROUNDS):
+                            sim.step_round()
+                            if index % 10 == 5:
+                                _get(server.url + "/metrics")
+                                _get(server.url + "/health")
+                finally:
+                    server.stop()
+            return (
+                sim.state_snapshot(),
+                sim.engine.stats.totals_by_type,
+                rng.bit_generator.state,
+            )
 
         plain = run(observed=False)
         live = run(observed=True)
@@ -269,35 +253,31 @@ class TestLiveDoesNotPerturb:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: instrumented sharded run with live= (the CLI path)
+# End-to-end: instrumented batched-engine run with live= (the CLI path)
 # ----------------------------------------------------------------------
-def sharded_live_experiment(
+def fast_live_experiment(
     *, n: int = N, rounds: int = ROUNDS, seed: int = 5
 ) -> ExperimentResult:
     """A registered-experiment-shaped driver that scrapes its own
     endpoint mid-run — the in-process twin of the CI obs-smoke curl."""
     result = ExperimentResult(
         experiment="live-e2e",
-        title="sharded live endpoint smoke",
+        title="batched-engine live endpoint smoke",
         claim="",
         params={"n": n, "rounds": rounds, "seed": seed},
     )
-    sim, _ = _sharded_sim(seed, n=n)
-    try:
-        observer = active()
-        url = observer.live_server.url
-        for index in range(rounds):
-            sim.step_round()
-            if index in (rounds // 2, rounds - 1):
-                _get(url + "/metrics")
-                code, body = _get(url + "/health")
-                assert code == 200
-                doc = json.loads(body)
-                assert doc["round"] == index + 1
-                assert doc["n"] == n
-        result.rows.append({"n": n, "messages": sim.engine.stats.total})
-    finally:
-        sim.engine.close()
+    sim, _ = _fast_sim(seed, n=n)
+    url = active().live_server.url
+    for index in range(rounds):
+        sim.step_round()
+        if index in (rounds // 2, rounds - 1):
+            _get(url + "/metrics")
+            code, body = _get(url + "/health")
+            assert code == 200
+            doc = json.loads(body)
+            assert doc["round"] == index + 1
+            assert doc["n"] == n
+    result.rows.append({"n": n, "messages": sim.engine.stats.total})
     return result
 
 
@@ -307,7 +287,7 @@ class TestInstrumentedLiveRun:
 
         out = tmp_path / "obs"
         instrumented_run(
-            sharded_live_experiment,
+            fast_live_experiment,
             {"n": N, "rounds": ROUNDS},
             str(out),
             experiment="live-e2e",
@@ -325,33 +305,32 @@ class TestInstrumentedLiveRun:
         assert manifest["live"]["address"] == live["address"]
         assert manifest["live"]["scrapes"] >= 2
         assert manifest["live"]["health_requests"] >= 2
-        # Coordinator phases recorded for the sharded engine.
-        assert set(manifest["phases"]["sharded"]) >= {
-            "dispatch", "exchange", "flush", "merge", "rng",
+        # Every engine-level phase of the batched round was recorded.
+        assert set(manifest["phases"]["fast"]) >= {
+            "flush", "waves", "regular", "close",
         }
 
-        # shard=-labelled per-worker series reached the final exposition.
+        # engine=-labelled round series reached the final exposition.
         prom = (out / "metrics.prom").read_text()
-        assert 'shard="0"' in prom
-        assert "repro_shard_phase_seconds_total" in prom
+        assert 'repro_rounds_total{engine="fast"}' in prom
         assert validate_prometheus_text(prom) == []
 
         # CLI: validate covers prom + live.json; phases gates attribution.
         assert obs_main(["validate", str(out)]) == 0
         assert obs_main(
-            ["phases", str(out), "--engine", "sharded", "--min-attribution", "0.9"]
+            ["phases", str(out), "--engine", "fast", "--min-attribution", "0.9"]
         ) == 0
         rendered = capsys.readouterr().out
-        assert "engine=sharded" in rendered
-        assert "shard=0" in rendered
+        assert "engine=fast" in rendered
+        assert "waves" in rendered
         assert obs_main(["phases", str(out), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["engines"]["sharded"]["attribution"] > 0.9
+        assert report["engines"]["fast"]["attribution"] > 0.9
 
     def test_phases_gate_fails_below_floor(self, tmp_path, capsys):
         out = tmp_path / "obs"
         instrumented_run(
-            sharded_live_experiment,
+            fast_live_experiment,
             {"n": 32, "rounds": 8},
             str(out),
             experiment="live-e2e",
@@ -406,93 +385,6 @@ class TestManifestVersions:
         manifest = build_manifest(observer)
         manifest["schema"] = "repro.obs/manifest/v9"
         assert any("schema" in p for p in validate_manifest(manifest))
-
-
-# ----------------------------------------------------------------------
-# Shard telemetry: delta semantics + registry folding
-# ----------------------------------------------------------------------
-class TestShardTelemetry:
-    def test_fold_accumulates_under_shard_labels(self):
-        from repro.obs.registry import MetricsRegistry
-        from repro.obs.shard import ShardTelemetrySink
-
-        registry = MetricsRegistry()
-        sink = ShardTelemetrySink(registry)
-        sink.fold(
-            0,
-            {
-                "seconds": {"lin": 0.25, "shard_route": 0.05},
-                "calls": {"lin": 10, "shard_route": 2},
-                "rows_routed": 7,
-                "rows_in": 3,
-            },
-        )
-        sink.fold(
-            0,
-            {
-                "seconds": {"lin": 0.75},
-                "calls": {"lin": 30},
-                "rows_routed": 1,
-                "rows_in": 0,
-            },
-        )
-        sink.live_nodes(0, 21)
-        seconds = registry.counter("shard_phase_seconds_total")
-        assert seconds.value(shard="0", phase="lin") == pytest.approx(1.0)
-        assert seconds.value(shard="0", phase="shard_route") == pytest.approx(0.05)
-        calls = registry.counter("shard_phase_calls_total")
-        assert calls.value(shard="0", phase="lin") == 40
-        routed = registry.counter("shard_rows_routed_total")
-        assert routed.value(shard="0") == 8
-        assert registry.gauge("shard_live_nodes").value(shard="0") == 21
-
-    def test_worker_reports_are_deltas(self):
-        """Each finish_round report carries only since-last-report time,
-        so folding never double-counts: the shard-local profiler is
-        drained into the piggybacked report every round."""
-        from repro.obs.registry import MetricsRegistry
-        from repro.obs.shard import ShardTelemetrySink
-
-        sim, rng = _sharded_sim(9)
-        engine = sim.engine
-        try:
-            registry = MetricsRegistry()
-            engine.shard_sink = ShardTelemetrySink(registry)
-            for _ in range(3):
-                sim.step_round()
-                # Inline cores expose the worker-side profiler directly:
-                # it must be empty right after the round report folded,
-                # or the next fold would re-count this round's time.
-                for core in engine._backend.cores:
-                    assert core.profiler is not None
-                    assert core.profiler.seconds == {}
-                    assert core.profiler.calls == {}
-            seconds = registry.counter("shard_phase_seconds_total")
-            folded = sum(
-                seconds.value(shard=str(s), phase="shard_route")
-                for s in range(engine.shards)
-            )
-            assert folded > 0.0
-            # Detaching the sink switches workers back to the untimed path.
-            engine.shard_sink = None
-            for core in engine._backend.cores:
-                assert core.profiler is None
-        finally:
-            engine.close()
-
-    def test_prometheus_text_renders_shard_series(self):
-        from repro.obs.registry import MetricsRegistry
-        from repro.obs.shard import ShardTelemetrySink
-
-        registry = MetricsRegistry()
-        sink = ShardTelemetrySink(registry)
-        sink.fold(
-            1,
-            {"seconds": {"ring": 0.5}, "calls": {"ring": 4},
-             "rows_routed": 2, "rows_in": 2},
-        )
-        text = prometheus_text(registry)
-        assert 'repro_shard_phase_seconds_total{phase="ring",shard="1"} 0.5' in text
 
 
 # ----------------------------------------------------------------------

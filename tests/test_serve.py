@@ -8,7 +8,7 @@ End-to-end coverage of :mod:`repro.serve`:
   ``repro.obs.live`` telemetry (``/metrics`` + ``/health`` on both
   ports), shutdown, error codes;
 * a sanitized serve run (the snapshot path must be invisible to the
-  flow sanitizer) and a sharded-engine service smoke;
+  flow sanitizer); the batched engine is the only engine served;
 * the Zipf load harness (in-process and over-the-wire) feeding
   validated SLO summaries, plus the ``repro serve`` CLI with its
   ``serve.json``/manifest artifacts.
@@ -202,7 +202,7 @@ class TestLookupsAndStorms:
 
 
 # ----------------------------------------------------------------------
-# Engine variants: sanitized and sharded
+# Engine variants: sanitized; only the batched engine is served
 # ----------------------------------------------------------------------
 class TestEngineVariants:
     def test_sanitized_serve_run_is_clean(self):
@@ -220,20 +220,10 @@ class TestEngineVariants:
             svc.stop()
         assert svc.host.error is None
 
-    def test_sharded_service_smoke(self):
-        svc = build_service(
-            n=192, engine="sharded", shards=3, seed=6, check_every=4
-        )
-        svc.start()
-        try:
-            assert svc.host.wait_converged(timeout=120)
-            report = run_load(svc, lookups=1000, latency_samples=16, seed=2)
-            assert report.ok == report.lookups
-            assert svc.host.fire_storm("flash_crowd", seed=1).result(timeout=60)
-            assert svc.host.wait_converged(timeout=120)
-        finally:
-            svc.stop()
-        assert svc.host.error is None
+    def test_build_service_rejects_sharded(self):
+        for option, value in (("engine", "sharded"), ("shards", 2), ("workers", 2)):
+            with pytest.raises(TypeError, match=option):
+                build_service(n=96, **{option: value})
 
     def test_service_start_stop_idempotent(self):
         svc = build_service(n=64, seed=4)
@@ -391,7 +381,7 @@ class TestLifecycleAndCLI:
 
         def run() -> None:
             holder["code"] = serve_main(
-                [f"obs={obs_dir}", "n=96", "duration=120", "seed=12"]
+                [f"obs={obs_dir}", "n=96", "engine=fast", "duration=120", "seed=12"]
             )
 
         thread = threading.Thread(target=run)
@@ -426,6 +416,20 @@ class TestLifecycleAndCLI:
 
         assert serve_main(["bogus=1"]) == 2
         assert "unknown serve parameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("engine", "sharded", "unknown engine 'sharded'"),
+            ("shards", "4", "unknown serve parameter(s): ['shards']"),
+            ("workers", "2", "unknown serve parameter(s): ['workers']"),
+        ],
+    )
+    def test_cli_rejects_shard_options(self, key, value, message, capsys):
+        from repro.serve.cli import main as serve_main
+
+        assert serve_main(["n=96", f"{key}={value}"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_repro_cli_dispatches_serve(self, capsys):
         from repro.cli import main as repro_main

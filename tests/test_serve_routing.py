@@ -6,15 +6,14 @@ paper's probr/probl:
 * exact hop-for-hop conformance of :func:`repro.serve.route_batch`
   against the deterministic probe replay
   (:func:`repro.routing.paths.probe_path_hops`) on the converged
-  overlay — for the reference states, the batched engine, and the
-  sharded engine's merged view;
+  overlay — for the reference states and the batched engine's view;
 * a Hypothesis sweep of the Lemma 4.23 hypothesis: greedy hops on the
   Fact 4.21 stationary overlay stay within the rank distance
   (structural) and, on average, within ``c·ln^{2+ε} d``
-  (:func:`repro.serve.hop_bound`) across all three view sources;
-* a pinned fixed-seed trace: the fast and sharded engines route the
-  same queries to the same hop counts *mid-convergence*, digest-pinned
-  so a silent kernel change fails loudly.
+  (:func:`repro.serve.hop_bound`) across both view sources;
+* a pinned fixed-seed trace: the batched engine routes fixed queries
+  to fixed hop counts *mid-convergence*, digest-pinned so a silent
+  kernel or engine change fails loudly.
 """
 
 from __future__ import annotations
@@ -43,27 +42,19 @@ def _converged_states(n: int, seed: int):
     )
 
 
-def _engine_view(states, mode: str, *, shards: int = 3) -> RouteView:
+def _engine_view(states) -> RouteView:
     sim = FastSimulator.from_states(
         [s.copy() for s in states],
         ProtocolConfig(),
-        mode=mode,
-        shards=shards,
-        workers=0,
         rng=np.random.default_rng(77),
     )
-    try:
-        return RouteView.from_engine(sim.engine, sim.round_index)
-    finally:
-        close = getattr(sim.engine, "close", None)
-        if callable(close):
-            close()
+    return RouteView.from_engine(sim.engine, sim.round_index)
 
 
 def _view_from(source: str, states) -> RouteView:
     if source == "reference":
         return RouteView.from_states(states)
-    return _engine_view(states, "batched" if source == "fast" else "sharded")
+    return _engine_view(states)
 
 
 # ----------------------------------------------------------------------
@@ -94,12 +85,11 @@ class TestRouteView:
     def test_engine_views_match_reference(self):
         states = _converged_states(128, 3)
         reference = RouteView.from_states(states)
-        for mode in ("batched", "sharded"):
-            view = _engine_view(states, mode)
-            np.testing.assert_array_equal(view.ids, reference.ids)
-            np.testing.assert_array_equal(view.l_rank, reference.l_rank)
-            np.testing.assert_array_equal(view.r_rank, reference.r_rank)
-            np.testing.assert_array_equal(view.lrl_rank, reference.lrl_rank)
+        view = _engine_view(states)
+        np.testing.assert_array_equal(view.ids, reference.ids)
+        np.testing.assert_array_equal(view.l_rank, reference.l_rank)
+        np.testing.assert_array_equal(view.r_rank, reference.r_rank)
+        np.testing.assert_array_equal(view.lrl_rank, reference.lrl_rank)
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +106,7 @@ class TestProbeConformance:
         expected = probe_path_hops(
             n, lrl, sources, dests, first_hop_ring=False
         )
-        for source in ("reference", "fast", "sharded"):
+        for source in ("reference", "fast"):
             view = _view_from(source, states)
             got = route_batch(view, sources, dests)
             assert got.ok.all(), source
@@ -167,7 +157,7 @@ class TestLemma423Hypothesis:
     @given(
         n=st.integers(min_value=64, max_value=384),
         seed=st.integers(min_value=0, max_value=2**16),
-        source=st.sampled_from(["reference", "fast", "sharded"]),
+        source=st.sampled_from(["reference", "fast"]),
     )
     def test_hops_within_polylog_bound(self, n, seed, source):
         states = _converged_states(n, seed)
@@ -186,46 +176,31 @@ class TestLemma423Hypothesis:
 
 
 # ----------------------------------------------------------------------
-# Pinned mid-convergence trace: fast ≡ sharded, digest-locked
+# Pinned mid-convergence trace on the batched engine, digest-locked
 # ----------------------------------------------------------------------
 class TestPinnedHopTrace:
     PINNED_DIGEST = (
         "118e610e1e22109efcb3a39b43950f4deda17810127a18e59678a6fb4d3d992f"
     )
 
-    def _mid_convergence_view(self, mode: str) -> RouteView:
+    def _mid_convergence_view(self) -> RouteView:
         states = sorted(
             TOPOLOGIES["random_tree"](96, np.random.default_rng(1234)),
             key=lambda s: s.id,
         )
         sim = FastSimulator.from_states(
-            states,
-            ProtocolConfig(),
-            mode=mode,
-            shards=3,
-            workers=0,
-            rng=np.random.default_rng(55),
+            states, ProtocolConfig(), rng=np.random.default_rng(55)
         )
-        try:
-            for _ in range(12):
-                sim.step_round()
-            return RouteView.from_engine(sim.engine, sim.round_index)
-        finally:
-            close = getattr(sim.engine, "close", None)
-            if callable(close):
-                close()
+        for _ in range(12):
+            sim.step_round()
+        return RouteView.from_engine(sim.engine, sim.round_index)
 
-    def test_fast_and_sharded_agree_mid_convergence(self):
-        fast = self._mid_convergence_view("batched")
-        sharded = self._mid_convergence_view("sharded")
-        np.testing.assert_array_equal(fast.ids, sharded.ids)
+    def test_fast_mid_convergence_trace_pinned(self):
+        fast = self._mid_convergence_view()
         rng = np.random.default_rng(99)
         src = rng.integers(0, fast.n, size=200)
         dst = rng.integers(0, fast.n, size=200)
         a = route_batch(fast, src, dst)
-        b = route_batch(sharded, src, dst)
-        np.testing.assert_array_equal(a.hops, b.hops)
-        np.testing.assert_array_equal(a.ok, b.ok)
         digest = hashlib.sha256(
             a.hops.astype(np.int64).tobytes() + a.ok.astype(np.uint8).tobytes()
         ).hexdigest()
